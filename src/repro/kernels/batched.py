@@ -71,6 +71,27 @@ def batched_commands(X: np.ndarray, K: int) -> np.ndarray:
     return C
 
 
+def batched_execute(
+    X: np.ndarray, H: np.ndarray, fire: np.ndarray, K: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(new_X, new_H)`` after every process with ``fire > 0`` moves.
+
+    ``fire`` holds the rule id each process executes (0 = stays put).
+    All writes read the *old* state (composite atomicity), so firing every
+    enabled process at once yields each process's solo update too.
+    """
+    C = batched_commands(X, K)
+    new_H = H.copy()
+    new_X = X.copy()
+    new_H[fire == 1] = 2            # R1: <1.0>
+    mask24 = (fire == 2) | (fire == 4)
+    new_H[mask24] = 0               # R2/R4: <0.0>, x <- C_i
+    new_X[mask24] = C[mask24]
+    new_H[fire == 3] = 1            # R3: <0.1>
+    new_H[fire == 5] = 0            # R5: <0.0>
+    return new_X, new_H
+
+
 def batched_privileged_counts(X: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Privileged processes per trial (vectorized token predicates).
 
@@ -89,13 +110,26 @@ def batched_privileged_counts(X: np.ndarray, H: np.ndarray) -> np.ndarray:
     return (G | secondary).sum(axis=1)
 
 
-def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
-    """Boolean mask of trials currently in a legitimate configuration.
+def unpack_keys(
+    keys: np.ndarray, base: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(digits, weights)``: the ``(N, n)`` digit columns of packed keys.
 
-    The batched form of Definition 1 (same predicate as
-    :func:`repro.kernels.packing.ssrmin_words_legitimate`): the x-vector
-    is a Dijkstra staircase with token position ``pos`` and the handshake
-    vector is one of the three shapes anchored at ``pos``.
+    The batched inverse of the scalar kernels' ``pack_key``: a key is
+    ``sum(digits[:, i] * weights[i])`` with ``weights[i] = base**(n-1-i)``.
+    """
+    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (keys.astype(np.int64)[:, None] // weights) % base, weights
+
+
+def batched_dijkstra_legitimate(
+    X: np.ndarray, K: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ok, pos)``: Dijkstra legitimacy of each x-vector and its token.
+
+    Legitimate x-vectors are a staircase: all equal (token at 0) or a
+    single interior boundary ``b`` with ``X[b-1] == X[b] + 1 (mod K)``
+    (token at ``b``).  ``pos`` is 0 on illegitimate rows.
     """
     trials, n = X.shape
 
@@ -113,11 +147,22 @@ def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
     step_ok = X[rows, boundary - 1] == (X[rows, boundary] + 1) % K
     wrap_ok = X[:, 0] == (X[:, n - 1] + 1) % K
     d1 = d1 & step_ok & wrap_ok
+    return d0 | d1, np.where(d1, boundary, 0)
 
-    pos = np.where(d1, boundary, 0)
-    dijkstra_ok = d0 | d1
+
+def batched_legitimate(X: np.ndarray, H: np.ndarray, K: int) -> np.ndarray:
+    """Boolean mask of trials currently in a legitimate configuration.
+
+    The batched form of Definition 1 (same predicate as
+    :func:`repro.kernels.packing.ssrmin_words_legitimate`): the x-vector
+    is a Dijkstra staircase with token position ``pos`` and the handshake
+    vector is one of the three shapes anchored at ``pos``.
+    """
+    trials, n = X.shape
+    dijkstra_ok, pos = batched_dijkstra_legitimate(X, K)
 
     # Handshake shapes relative to pos.
+    rows = np.arange(trials)
     h_pos = H[rows, pos]
     h_succ = H[rows, (pos + 1) % n]
     nonzero = (H != 0).sum(axis=1)
@@ -234,17 +279,7 @@ def run_convergence_cells(
                     enabled[empty], u[empty]
                 )
 
-        fire = np.where(selected, rule, 0)
-        C = batched_commands(X, K)
-        new_H = H.copy()
-        new_X = X.copy()
-        new_H[fire == 1] = 2            # R1: <1.0>
-        mask24 = (fire == 2) | (fire == 4)
-        new_H[mask24] = 0               # R2/R4: <0.0>, x <- C_i
-        new_X[mask24] = C[mask24]
-        new_H[fire == 3] = 1            # R3: <0.1>
-        new_H[fire == 5] = 0            # R5: <0.0>
-        X, H = new_X, new_H
+        X, H = batched_execute(X, H, np.where(selected, rule, 0), K)
 
         legit = batched_legitimate(X, H, K)
         newly = active & legit
@@ -266,9 +301,12 @@ __all__ = [
     "STREAM_INIT_X",
     "STREAM_PICK",
     "batched_commands",
+    "batched_dijkstra_legitimate",
+    "batched_execute",
     "batched_guards",
     "batched_legitimate",
     "batched_privileged_counts",
     "parse_daemon",
     "run_convergence_cells",
+    "unpack_keys",
 ]

@@ -182,3 +182,18 @@ class DijkstraKernel(FastKernel):
 
     def digit(self, state: int) -> int:
         return state
+
+    def batched_moves(self, keys: Any) -> Any:
+        import numpy as np
+
+        from repro.kernels.batched import (
+            batched_commands,
+            batched_dijkstra_legitimate,
+            unpack_keys,
+        )
+
+        X, weights = unpack_keys(keys, self.K, self.n)
+        enabled = X != np.roll(X, 1, axis=1)
+        enabled[:, 0] = ~enabled[:, 0]  # D1: x_0 == x_{n-1}
+        delta = np.where(enabled, batched_commands(X, self.K) - X, 0) * weights
+        return enabled, delta, batched_dijkstra_legitimate(X, self.K)[0]

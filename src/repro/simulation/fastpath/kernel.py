@@ -153,6 +153,19 @@ class FastKernel(abc.ABC):
         """Decode a packed key back into an algorithm-native configuration
         (inverse of :meth:`pack_key`), without loading it."""
 
+    def batched_moves(self, keys: Any) -> Any:
+        """Every process's solo move for a numpy array of packed keys.
+
+        Returns ``(enabled, delta, legit)``: the ``(N, n)`` enabled mask,
+        the ``(N, n)`` key shift each enabled process causes by firing
+        alone (0 where disabled), and the ``(N,)`` legitimacy mask -- or
+        ``None`` (the default) when the kernel has no batched form.  Since
+        commands read the old state, a selection's successor key is the
+        key plus the sum of its members' shifts; the model checker builds
+        whole edge sets from that.
+        """
+        return None
+
 
 class PackedView(_SequenceABC):
     """Read-only live sequence view over a kernel's packed state.

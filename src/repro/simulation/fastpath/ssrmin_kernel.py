@@ -282,3 +282,18 @@ class SSRminKernel(FastKernel):
     def digit(self, state: StateTuple) -> int:
         x, rts, tra = state
         return (x << 2) | (rts << 1) | tra
+
+    def batched_moves(self, keys: Any) -> Any:
+        from repro.kernels.batched import (
+            batched_execute,
+            batched_guards,
+            batched_legitimate,
+            unpack_keys,
+        )
+
+        digits, weights = unpack_keys(keys, self.key_base, self.n)
+        X, H = digits >> 2, digits & 3
+        _, rule = batched_guards(X, H)
+        new_X, new_H = batched_execute(X, H, rule, self.K)
+        delta = (((new_X << 2) | new_H) - digits) * weights
+        return rule > 0, delta, batched_legitimate(X, H, self.K)

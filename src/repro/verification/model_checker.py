@@ -12,19 +12,32 @@
   longest path through the illegitimate region, which equals the value of
   the game where the daemon maximizes time-to-Lambda.
 
-Convergence + the longest path are computed together by an iterative DFS
-with 3-colouring over illegitimate states: a back edge to a grey state means
-an illegitimate cycle (convergence fails); otherwise each state's value is
-``1 + max(successor values)`` with legitimate successors contributing 0.
+The check runs in two stages over states numbered in
+``configuration_space()`` order.  :func:`_build_graph` produces the
+transition relation as numpy edge arrays: in one vectorized pass over the
+whole key space when the kernel has a batched form
+(:meth:`~repro.simulation.fastpath.kernel.FastKernel.batched_moves`), else
+from the scalar ``successor_keys`` loop.  :func:`_peel` then peels the
+illegitimate subgraph layer by layer (Kahn's algorithm on out-degrees):
+layer ``L`` holds the states whose every successor lies in Lambda or in a
+lower layer, so a state's layer is exactly its adversarial steps-to-Lambda
+and the worst case is the last layer.  States left unpeeled all have an
+unpeeled successor, so walking them exhibits an illegitimate cycle.
 """
 
 from __future__ import annotations
 
-import sys
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.verification.transition_system import TransitionSystem
+import numpy as np
+
+from repro.algorithms.base import RingAlgorithm
+from repro.verification.transition_system import (
+    TransitionSystem,
+    nonempty_subsets,
+)
 
 
 @dataclass
@@ -93,69 +106,156 @@ class StabilizationReport:
         return "\n".join(lines)
 
 
-def _longest_path_to_lambda(
-    ts: TransitionSystem,
-) -> Tuple[Optional[int], Optional[List[Any]]]:
-    """Longest illegitimate path; detects illegitimate cycles.
+@dataclass
+class _Graph:
+    """A transition relation over state indices ``0..M-1``.
 
-    Returns ``(worst_case_steps, None)`` when convergence holds, or
-    ``(None, cycle)`` when an illegitimate cycle exists.
-
-    Everything is key-centric: the DFS stack, colour map, value table and
-    path all hold packed keys only
-    (:meth:`~repro.verification.transition_system.TransitionSystem.successor_keys`),
-    so the bulk of the state space is explored without ever materializing a
-    configuration object.  Configurations are decoded only to report a
-    cycle.
+    Indices follow ``configuration_space()`` order; the first ``counted``
+    are the enumerated space, any further ones are successors outside an
+    overridden space.  Only edges into *illegitimate* states are kept:
+    neither the peeling nor the closure check needs the rest.
     """
-    legit = ts.is_legitimate_key
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {}
-    value = {}
-    best = 0
 
-    for start in ts.states():
-        k0 = ts._key(start)
-        if colour.get(k0, WHITE) != WHITE or legit(k0):
-            continue
-        # Iterative DFS from this illegitimate configuration.  Stack frames
-        # carry (key, successor keys, next index); path carries the keys
-        # for cycle extraction.
-        stack: List[Tuple[Any, Tuple[Any, ...], int]] = [
-            (k0, ts.successor_keys(start, k0), 0)
-        ]
-        colour[k0] = GREY
-        path: List[Any] = [k0]
-        while stack:
-            nk, succs, idx = stack[-1]
-            if idx < len(succs):
-                stack[-1] = (nk, succs, idx + 1)
-                ck = succs[idx]
-                if legit(ck):
-                    value[nk] = max(value.get(nk, 1), 1)
-                    continue
-                c = colour.get(ck, WHITE)
-                if c == GREY:
-                    # Illegitimate cycle found; decode it from the path.
-                    cyc = path[path.index(ck):] + [ck]
-                    return None, [ts.config_for_key(k) for k in cyc]
-                if c == WHITE:
-                    colour[ck] = GREY
-                    path.append(ck)
-                    stack.append((ck, ts.successor_keys_for(ck), 0))
-                else:  # BLACK
-                    value[nk] = max(value.get(nk, 1), 1 + value[ck])
-            else:
-                colour[nk] = BLACK
-                v = value.get(nk, 1)
-                value[nk] = v
-                best = max(best, v)
-                stack.pop()
-                path.pop()
-                if stack:
-                    pk = stack[-1][0]
-                    value[pk] = max(value.get(pk, 1), 1 + v)
-    return best, None
+    counted: int
+    legit: np.ndarray
+    has_succ: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    keys: Sequence[Any]
+    index: Callable[[Any], int]
+
+
+def _key_dtype(count: int) -> type:
+    return np.int32 if count < 2 ** 31 else np.int64
+
+
+def _batched_moves(ts: TransitionSystem) -> Optional[Tuple[np.ndarray, ...]]:
+    """``kernel.batched_moves`` over the whole key space, or None.
+
+    Packed keys enumerate the space in ``configuration_space()`` order, so
+    ``np.arange(N)`` *is* the state list and a key is its own index.
+    """
+    kernel = ts._kernel
+    if (kernel is None or type(ts.algorithm).configuration_space
+            is not RingAlgorithm.configuration_space):
+        return None
+    count = kernel.key_base ** ts.algorithm.n
+    return kernel.batched_moves(np.arange(count, dtype=_key_dtype(count)))
+
+
+def _selection_edges(
+    ts: TransitionSystem, enabled: np.ndarray, delta: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(src, dst)`` key arrays, one pair per daemon-allowed selection.
+
+    A selection fires from every state where all its members are enabled,
+    and lands on the key plus the sum of its members' solo shifts.
+    """
+    count, n = enabled.shape
+    dtype = _key_dtype(count)
+    for sel in nonempty_subsets(tuple(range(n)), ts.max_selection):
+        src = np.flatnonzero(enabled[:, sel].all(axis=1)).astype(dtype)
+        yield src, (src + delta[src][:, sel].sum(axis=1)).astype(dtype)
+
+
+def _batched_graph(ts: TransitionSystem) -> Optional[_Graph]:
+    """The whole edge set in numpy, or None without a batched form."""
+    moves = _batched_moves(ts)
+    if moves is None:
+        return None
+    enabled, delta, legit = moves
+    srcs, dsts = [], []
+    for src, dst in _selection_edges(ts, enabled, delta):
+        keep = ~legit[dst]
+        srcs.append(src[keep])
+        dsts.append(dst[keep])
+    count = len(legit)
+    return _Graph(count, legit, enabled.any(axis=1), np.concatenate(srcs),
+                  np.concatenate(dsts), range(count), operator.index)
+
+
+def _scalar_graph(ts: TransitionSystem) -> _Graph:
+    """Edges from the per-state ``successor_keys`` loop (any algorithm)."""
+    keys: List[Any] = []
+    index: Dict[Any, int] = {}
+    succs: List[Tuple[Any, ...]] = []
+    legit: List[bool] = []
+    for config in ts.states():
+        k = ts._key(config)
+        index[k] = len(keys)
+        keys.append(k)
+        succs.append(ts.successor_keys(config, k))
+        legit.append(ts.is_legitimate(config, k))
+    counted = len(keys)
+    src: List[int] = []
+    dst: List[int] = []
+    i = 0
+    while i < len(keys):
+        for sk in succs[i]:
+            j = index.get(sk)
+            if j is None:  # outside an overridden configuration_space
+                j = index[sk] = len(keys)
+                keys.append(sk)
+                succs.append(ts.successor_keys_for(sk))
+                legit.append(ts.is_legitimate_key(sk))
+            src.append(i)
+            dst.append(j)
+        i += 1
+    legit_arr = np.array(legit, dtype=bool)
+    src_arr = np.array(src, dtype=np.int64)
+    dst_arr = np.array(dst, dtype=np.int64)
+    keep = ~legit_arr[dst_arr]
+    return _Graph(counted, legit_arr, np.array([bool(s) for s in succs]),
+                  src_arr[keep], dst_arr[keep], keys, index.__getitem__)
+
+
+def _build_graph(ts: TransitionSystem) -> _Graph:
+    return _batched_graph(ts) or _scalar_graph(ts)
+
+
+def _peel(g: _Graph) -> Tuple[np.ndarray, Optional[List[int]]]:
+    """``(value, cycle)``: steps-to-Lambda per state, or a cycle of indices.
+
+    Kahn layer peeling of the illegitimate subgraph.  ``value`` is 0 on
+    Lambda and the peeling layer elsewhere; ``cycle`` (first index equals
+    last) is returned when some illegitimate states never peel.
+    """
+    m = len(g.legit)
+    illegit = ~g.legit
+    sub = illegit[g.src]
+    src, dst = g.src[sub], g.dst[sub]
+    outdeg = np.bincount(src, minlength=m)
+    preds = src[np.argsort(dst)]
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=m), out=ptr[1:])
+    value = np.zeros(m, dtype=np.int64)
+    frontier = np.flatnonzero(illegit & (outdeg == 0))
+    layer = 0
+    while frontier.size:
+        layer += 1
+        value[frontier] = layer
+        # Predecessors of the frontier: the concatenated CSR ranges.
+        lo, lens = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        ends = np.cumsum(lens)
+        at = np.repeat(lo - ends + lens, lens) + np.arange(ends[-1])
+        touched, hits = np.unique(preds[at], return_counts=True)
+        outdeg[touched] -= hits
+        frontier = touched[outdeg[touched] == 0]
+    stuck = illegit & (value == 0)
+    if not stuck.any():
+        return value, None
+    # Every stuck state has a stuck successor: follow the smallest one.
+    live = stuck[src] & stuck[dst]
+    nxt = np.full(m, m, dtype=np.int64)
+    np.minimum.at(nxt, src[live], dst[live])
+    seen: Dict[int, int] = {}
+    path: List[int] = []
+    i = int(np.flatnonzero(stuck)[0])
+    while i not in seen:
+        seen[i] = len(path)
+        path.append(i)
+        i = int(nxt[i])
+    return value, path[seen[i]:] + [i]
 
 
 def check_self_stabilization(
@@ -163,43 +263,34 @@ def check_self_stabilization(
 ) -> StabilizationReport:
     """Run the full exhaustive check on a transition system.
 
-    Enumerates every configuration once for deadlock/closure and (optionally)
-    runs the longest-path analysis for convergence + worst case.  All
-    legitimacy queries go through the transition system's memoized
-    :meth:`~repro.verification.transition_system.TransitionSystem.is_legitimate`
-    so each configuration is classified once across both phases.
+    Builds the transition relation once, reads deadlocks and closure
+    violations off the edge arrays and (optionally) peels the illegitimate
+    subgraph for convergence + worst case.  Configurations are decoded only
+    for the states a report lists.
     """
-    deadlocks: List[Any] = []
-    closure_violations: List[Tuple[Any, Any]] = []
-    state_count = 0
-    legit_count = 0
-
-    for config in ts.states():
-        state_count += 1
-        key = ts._key(config)
-        skeys = ts.successor_keys(config, key)
-        legit = ts.is_legitimate_key(key)
-        if legit:
-            legit_count += 1
-        if not skeys:
-            if not ts.is_deadlocked(config):
-                raise AssertionError(
-                    "successor computation inconsistent with enabledness")
-            deadlocks.append(config)
-            continue
-        if legit:
-            for sk in skeys:
-                if not ts.is_legitimate_key(sk):
-                    closure_violations.append((config, ts.config_for_key(sk)))
+    g = _build_graph(ts)
+    config = ts.config_for_key
+    n0 = g.counted
+    deadlocks = [config(g.keys[i])
+                 for i in np.flatnonzero(~g.has_succ[:n0]).tolist()]
+    bad = g.legit[g.src] & (g.src < n0)
+    closure_violations = [
+        (config(g.keys[a]), config(g.keys[b]))
+        for a, b in sorted(set(zip(g.src[bad].tolist(), g.dst[bad].tolist())))
+    ]
 
     worst: Optional[int] = None
     cycle: Optional[List[Any]] = None
     if compute_worst_case:
-        worst, cycle = _longest_path_to_lambda(ts)
+        value, path = _peel(g)
+        if path is None:
+            worst = int(value.max())
+        else:
+            cycle = [config(g.keys[i]) for i in path]
 
     return StabilizationReport(
-        state_count=state_count,
-        legitimate_count=legit_count,
+        state_count=n0,
+        legitimate_count=int(g.legit[:n0].sum()),
         deadlocks=deadlocks,
         closure_violations=closure_violations,
         illegitimate_cycle=cycle,
@@ -208,15 +299,20 @@ def check_self_stabilization(
     )
 
 
-def worst_case_convergence_steps(ts: TransitionSystem) -> int:
-    """Exact adversarial convergence time; raises if convergence fails."""
-    worst, cycle = _longest_path_to_lambda(ts)
+def _values(ts: TransitionSystem) -> Tuple[_Graph, np.ndarray]:
+    g = _build_graph(ts)
+    value, cycle = _peel(g)
     if cycle is not None:
         raise AssertionError(
-            f"algorithm does not converge: illegitimate cycle of length {len(cycle)}"
+            f"algorithm does not converge: illegitimate cycle of length "
+            f"{len(cycle)}"
         )
-    assert worst is not None
-    return worst
+    return g, value
+
+
+def worst_case_convergence_steps(ts: TransitionSystem) -> int:
+    """Exact adversarial convergence time; raises if convergence fails."""
+    return int(_values(ts)[1].max())
 
 
 def worst_case_witness(ts: TransitionSystem) -> List[Any]:
@@ -228,52 +324,17 @@ def worst_case_witness(ts: TransitionSystem) -> List[Any]:
     configuration.  This is the *ground truth* the heuristic
     :class:`~repro.daemons.adversarial.AdversarialDaemon` approximates.
 
-    Computed by valuing every illegitimate configuration (memoized greedy
-    over the acyclic illegitimate region — well-defined once convergence
-    holds) and then walking value-maximizing successors.
+    ``gamma_0`` is the first configuration (in ``configuration_space()``
+    order) with the largest peeled value; each step then takes the first
+    successor, in daemon-selection order, whose value is one less.
     """
-    legit = ts.is_legitimate_key
-
-    # Value function: steps-to-Lambda under the adversarial daemon,
-    # computed entirely on packed keys.
-    value: Dict[Any, int] = {}
-
-    def val(k: Any) -> int:
-        if legit(k):
-            return 0
-        if k in value:
-            return value[k]
-        # Sentinel to catch cycles (would mean non-convergence).
-        value[k] = -1
-        best = 0
-        for sk in ts.successor_keys_for(k):
-            v = val(sk)
-            if v < 0:
-                raise AssertionError("illegitimate cycle: no worst case exists")
-            best = max(best, 1 + v)
-        value[k] = best
-        return best
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10 * ts.state_count() + 1000))
-    try:
-        worst_key = None
-        worst_val = -1
-        for config in ts.states():
-            k = ts._key(config)
-            # Prime the successor-key cache from the configuration we
-            # already hold (spares the naive path a key decode).
-            ts.successor_keys(config, k)
-            v = val(k)
-            if v > worst_val:
-                worst_val, worst_key = v, k
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    assert worst_key is not None
-    key = worst_key
+    g, value = _values(ts)
+    i = int(value[:g.counted].argmax())
+    key = g.keys[i]
     path = [ts.config_for_key(key)]
-    while not legit(key):
-        key = max(ts.successor_keys_for(key), key=val)
+    while not g.legit[i]:
+        key = max(ts.successor_keys_for(key),
+                  key=lambda k: value[g.index(k)])
+        i = g.index(key)
         path.append(ts.config_for_key(key))
     return path

@@ -111,9 +111,9 @@ class TransitionSystem:
     ) -> Tuple[Tuple[Any, Any], ...]:
         """Distinct successors as ``(key, configuration)`` pairs.
 
-        The model checker is key-centric (colour maps, value tables, memo
-        probes all index by key), so handing keys out with the successors
-        lets it avoid ever re-packing a configuration it already visited.
+        The model checker is key-centric (state indices and memo probes
+        all go by key), so handing keys out with the successors lets it
+        avoid ever re-packing a configuration it already visited.
         ``key`` may be passed when the caller has already computed it.
         """
         if key is None:
@@ -134,11 +134,11 @@ class TransitionSystem:
     ) -> Tuple[Any, ...]:
         """Distinct successor *keys* only — no configurations materialized.
 
-        The model checker's bulk phases (closure sweep, cycle detection,
-        longest path) never look inside a successor, only at its identity
-        and legitimacy, so on the fast path this skips building the
-        tuples-of-tuples configuration objects entirely.  Configurations
-        are recovered on demand via :meth:`config_for_key`.
+        The model checker's scalar edge builder never looks inside a
+        successor, only at its identity and legitimacy, so on the fast path
+        this skips building the tuples-of-tuples configuration objects
+        entirely.  Configurations are recovered on demand via
+        :meth:`config_for_key`.
         """
         if key is None:
             key = self._key(config)

@@ -17,10 +17,12 @@ import os
 import pytest
 
 from repro.verification.conformance import (
+    Witness,
     corpus_files,
     replay_witness_file,
     seed_corpus,
 )
+from repro.verification.conformance.seeds import worst_case_seed
 
 CORPUS_DIR = os.environ.get(
     "REPRO_CORPUS_DIR", os.path.dirname(os.path.abspath(__file__))
@@ -54,3 +56,16 @@ def test_seed_corpus_regenerates_checked_in_files(tmp_path):
                 f"{name} is stale — regenerate with "
                 f"`python -m repro fuzz seed-corpus`"
             )
+
+
+@pytest.mark.parametrize("name", ["ssrmin", "dijkstra"])
+def test_worst_case_seed_pins_witness_tie_breaking(name):
+    """The checker's witness choice -- the first configuration with the
+    largest steps-to-Lambda, then the first successor one step closer --
+    regenerates the checked-in start and schedule exactly."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    pinned = Witness.load(os.path.join(here, f"{name}_worst_case_n3.jsonl"))
+    witness = worst_case_seed(name)
+    assert witness.config == pinned.config
+    assert witness.schedule == pinned.schedule
+

@@ -56,6 +56,36 @@ class BrokenRing(RingAlgorithm):
         return tuple(rng.randrange(2) for _ in range(self.n))
 
 
+class StuckAtZero(DijkstraKState):
+    """Mutant: the bottom never leaves x=0, so (0, ..., 0) deadlocks."""
+
+    def fast_kernel(self):
+        return None
+
+    def _guard_bottom(self, config, i):
+        return super()._guard_bottom(config, i) and config[0] != 0
+
+
+class TokenAtBottomOnly(DijkstraKState):
+    """Mutant: Lambda shrunk to the all-equal configurations, not closed."""
+
+    def fast_kernel(self):
+        return None
+
+    def is_legitimate(self, config):
+        return len(set(config)) == 1
+
+
+def assert_real_cycle(ts, cycle):
+    """First equals last, every state illegitimate, every hop a move."""
+    assert cycle is not None and len(cycle) >= 2
+    assert cycle[0] == cycle[-1]
+    for config in cycle:
+        assert not ts.is_legitimate(config)
+    for a, b in zip(cycle, cycle[1:]):
+        assert ts._key(b) in ts.successor_keys(a)
+
+
 class TestDijkstraVerification:
     @pytest.mark.parametrize("n,K", [(3, 4), (4, 5)])
     def test_k_state_self_stabilizing_distributed(self, n, K):
@@ -106,6 +136,34 @@ class TestCheckerDetectsBreakage:
         report = check_self_stabilization(TransitionSystem(BrokenRing(3)))
         assert not report.self_stabilizing
         assert report.illegitimate_cycle is not None
+
+    def test_broken_ring_cycle_is_real(self):
+        ts = TransitionSystem(BrokenRing(3))
+        assert_real_cycle(ts, check_self_stabilization(ts).illegitimate_cycle)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_small_k_cycle_is_real(self, fast):
+        alg = DijkstraKState(3, 2, allow_small_k=True)
+        ts = TransitionSystem(alg, "distributed", use_fastpath=fast)
+        assert_real_cycle(ts, check_self_stabilization(ts).illegitimate_cycle)
+
+    def test_deadlock_reported(self):
+        report = check_self_stabilization(
+            TransitionSystem(StuckAtZero(3, 4), "distributed"))
+        assert report.deadlocks == [(0, 0, 0)]
+        assert report.closure_violations == []
+        assert report.illegitimate_cycle is None
+        assert not report.self_stabilizing
+
+    def test_closure_violations_reported(self):
+        report = check_self_stabilization(
+            TransitionSystem(TokenAtBottomOnly(3, 4), "distributed"))
+        assert report.closure_violations == [
+            ((x, x, x), ((x + 1) % 4, x, x)) for x in range(4)
+        ]
+        assert report.deadlocks == []
+        assert report.illegitimate_cycle is None
+        assert not report.self_stabilizing
 
     def test_unchecked_convergence_never_claims_success(self):
         alg = DijkstraKState(3, 4)

@@ -54,18 +54,16 @@ class TestWorstCaseWitness:
     def test_witness_on_tiny_dijkstra_ring_regression(self):
         """Regression for the missing ``Dict`` import in model_checker.
 
-        ``worst_case_witness`` annotates its memo table with ``Dict`` at
-        function scope; with the name absent from the module namespace the
-        call was one evaluated-annotations switch away from a NameError.
-        The import now lives at module top — this pins the function working
-        end to end on the smallest ring.
+        The module annotates with ``Dict``; with the name absent from the
+        module namespace a call was one evaluated-annotations switch away
+        from a NameError.  The import lives at module top — this pins the
+        witness working end to end on the smallest ring.
         """
         import typing
 
         import repro.verification.model_checker as mc
 
         assert getattr(mc, "Dict") is typing.Dict
-        assert getattr(mc, "sys") is not None  # import sys at module top
         alg = DijkstraKState(2, 3)
         path = worst_case_witness(TransitionSystem(alg, "distributed"))
         assert len(path) >= 1
