@@ -1,8 +1,8 @@
-"""Extension: large-scale O(n^2) scaling via the vectorized batch engine."""
+"""Extension: large-scale O(n^2) scaling via the batched numpy kernel."""
 
 from conftest import run_and_check
 
 
 def test_ext4(benchmark):
-    """Extension: large-scale O(n^2) scaling via the vectorized batch engine."""
+    """Extension: large-scale O(n^2) scaling via the batched numpy kernel."""
     run_and_check(benchmark, "ext4")

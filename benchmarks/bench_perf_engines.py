@@ -4,7 +4,7 @@ Unlike the per-experiment benches (single-shot end-to-end reproductions),
 these are classic repeated-timing microbenchmarks guarding the hot paths:
 
 * the scalar composite-atomicity step loop,
-* the vectorized batch step,
+* the batched numpy kernel's daemon step and legitimacy mask,
 * CST event processing in the DES,
 * the exhaustive model checker on the smallest SSRmin instance.
 
@@ -23,10 +23,16 @@ import random
 import pytest
 
 from repro.core.ssrmin import SSRmin
+from repro.kernels.batched import (
+    STREAM_INIT_H,
+    STREAM_INIT_X,
+    batched_legitimate,
+    batched_step,
+)
+from repro.kernels.prng import grid_integers
 from repro.daemons.distributed import RandomSubsetDaemon, SynchronousDaemon
 from repro.messagepassing.cst import transformed
 from repro.messagepassing.links import UniformDelay
-from repro.simulation.batch import BatchSSRmin
 from repro.simulation.engine import SharedMemorySimulator
 
 ARTIFACT = "BENCH_perf_engines.json"
@@ -132,11 +138,13 @@ def test_scalar_engine_recording(benchmark):
 
 def test_batch_engine_steps(benchmark):
     """1000 vectorized steps over 256 parallel trials (n=8)."""
+    seeds = list(range(256))
+
     def run():
-        batch = BatchSSRmin(8, 9, trials=256, p=0.5, seed=0)
-        batch.randomize(seed=1)
-        for _ in range(1000):
-            batch.step()
+        X = grid_integers(seeds, STREAM_INIT_X, 0, 8, 9)
+        H = grid_integers(seeds, STREAM_INIT_H, 0, 8, 4)
+        for k in range(1, 1001):
+            X, H = batched_step(X, H, 9, seeds, "bernoulli", 0.5, k)
 
     benchmark(run)
     _record(benchmark, "batch_engine_steps")
@@ -144,9 +152,10 @@ def test_batch_engine_steps(benchmark):
 
 def test_batch_legitimacy_mask(benchmark):
     """Vectorized Definition-1 check over 4096 random configurations."""
-    batch = BatchSSRmin(8, 9, trials=4096, seed=2)
-    batch.randomize(seed=3)
-    benchmark(batch.legitimate_mask)
+    seeds = list(range(4096))
+    X = grid_integers(seeds, STREAM_INIT_X, 0, 8, 9)
+    H = grid_integers(seeds, STREAM_INIT_H, 0, 8, 4)
+    benchmark(batched_legitimate, X, H, 9)
     _record(benchmark, "batch_legitimacy_mask")
 
 

@@ -1,7 +1,7 @@
 """Measurement-first performance utilities.
 
-"No optimization without measuring" — the batch simulator exists because a
-profile showed the scalar step loop dominating the scaling study.  These
+"No optimization without measuring" — the batched numpy kernel exists
+because a profile showed the scalar step loop dominating the scaling study.  These
 helpers make that workflow one-liners:
 
 * :class:`Stopwatch` — context-manager wall-clock timer with splits;
@@ -131,15 +131,15 @@ def profile_callable(
 
 
 def compare_engines(n: int = 8, trials: int = 50, seed: int = 0) -> Dict[str, float]:
-    """Measured speedup of the batch engine over the scalar one.
+    """Measured speedup of the batched kernel over the scalar engine.
 
     Runs the same convergence workload both ways and returns
     ``{"scalar_seconds": ..., "batch_seconds": ..., "speedup": ...}`` —
-    the motivating measurement for :mod:`repro.simulation.batch`.
+    the motivating measurement for :mod:`repro.kernels.batched`.
     """
     from repro.core.ssrmin import SSRmin
     from repro.daemons.distributed import BernoulliDaemon
-    from repro.simulation.batch import batch_convergence_steps
+    from repro.kernels.batched import run_convergence_cells
     from repro.simulation.convergence import convergence_steps
 
     t0 = time.perf_counter()
@@ -152,7 +152,7 @@ def compare_engines(n: int = 8, trials: int = 50, seed: int = 0) -> Dict[str, fl
     scalar = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batch_convergence_steps(n=n, trials=trials, p=0.5, seed=seed)
+    run_convergence_cells(n, range(seed, seed + trials), "bernoulli:0.5")
     batch = time.perf_counter() - t0
 
     return {

@@ -46,6 +46,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
+    from repro.experiments.registry import get_experiment
+
+    # Resolve every id before any experiment runs or any run dir is made.
+    for eid in args.ids:
+        get_experiment(eid)
+
     engine = getattr(args, "engine", None)
     if engine is not None:
         # Pin the message-passing engine for every experiment in this

@@ -269,43 +269,60 @@ def run_lem5(fast: bool = False) -> ExperimentResult:
 def run_thm4(fast: bool = False) -> ExperimentResult:
     """Theorem 4: chaos + message loss -> stabilization -> 1..2 tokens forever.
 
-    The seed grid fans across worker processes via the Monte-Carlo sweep
-    engine (:mod:`repro.messagepassing.fastpath.sweep`); each cell derives
-    its RNG stream from its own seed value alone, so the rows are
-    bit-identical to the historical serial loop at any worker count.  When
-    an ambient telemetry session is active the sweep stays in-process —
+    The (loss × seed) grid fans across worker processes through the sweep
+    engine's DES cell worker (:func:`repro.sweeps.engine._des_cell_worker`);
+    each cell derives its RNG stream from its own seed value alone, so the
+    rows are bit-identical at any worker count.  The parent streams one
+    ``("experiment", "sweep_cell")`` event per completed cell into the
+    ambient session.  When a session is active the grid stays in-process —
     worker processes could not publish their network events into the
     parent's bus, and run manifests must keep their full event streams.
     """
     import os
+    import time
 
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
+    from repro.experiments.parallel import run_tasks_parallel
+    from repro.sweeps import engine
     from repro.telemetry.session import current_session
 
-    seeds = range(3) if fast else range(10)
+    seeds = [s + 100 for s in (range(3) if fast else range(10))]
     post = 100.0 if fast else 300.0
     loss_rates = (0.0, 0.1, 0.3)
-    workers = 1 if current_session() is not None else max(
-        1, min(len(loss_rates) * len(seeds), os.cpu_count() or 1)
+    grid = [(loss, seed) for loss in loss_rates for seed in seeds]
+    session = current_session()
+    workers = 1 if session is not None else max(
+        1, min(len(grid), os.cpu_count() or 1)
     )
-    cells = run_loss_sweep(
-        "ssrmin",
-        n_values=(5,),
-        loss_rates=loss_rates,
-        seeds=[s + 100 for s in seeds],
-        workers=workers,
-        slice_duration=5.0,
-        max_time=20_000.0,
-        gap_duration=post,
+    payloads = [
+        ("ssrmin", 5, loss, 1.0, 0.0, seed, 5.0, 20_000.0, post)
+        for loss, seed in grid
+    ]
+    last = time.perf_counter()
+
+    def _publish_cell(index, cell, done, _total):
+        nonlocal last
+        now = time.perf_counter()
+        loss, seed = grid[index]
+        session.bus.publish(
+            "experiment", "sweep_cell", float(done),
+            algorithm="ssrmin", n=5, loss=loss, seed=seed, **cell,
+            wall_seconds=now - last,
+        )
+        last = now
+
+    cells = run_tasks_parallel(
+        engine._des_cell_worker, payloads, workers=workers,
+        on_result=_publish_cell if session is not None else None,
     )
     rows = []
     ok = True
-    per_loss = len(list(seeds))
+    per_loss = len(seeds)
     for li, loss in enumerate(loss_rates):
         group = cells[li * per_loss:(li + 1) * per_loss]
-        times = [c.stabilized_at for c in group]
+        times = [c["stabilized_at"] for c in group]
         bounds_ok = all(
-            c.min_tokens >= 1 and c.max_tokens <= 2 and c.zero_time == 0.0
+            c["min_tokens"] >= 1 and c["max_tokens"] <= 2
+            and c["zero_time"] == 0.0
             for c in group
         )
         s = summarize(times)

@@ -1,22 +1,31 @@
 """Batched numpy backend over the shared rule table.
 
-The array expressions that used to live privately inside
-:class:`repro.simulation.batch.BatchSSRmin` — the rule-table gather, the
-vectorized legitimacy/privilege predicates and the command vector — now
-live here so every batched consumer (the Theorem-2 batch engine, the
-sweep engine's batched-cell mode, the benchmark) evaluates the *same*
-expressions against the *same* :data:`~repro.kernels.rule_table.RULE_TABLE`.
+Every batched consumer — the ext4 scaling study, the sweep engine's
+batched-cell mode, the profiling comparison and the benchmark — evaluates
+the *same* array expressions against the *same*
+:data:`~repro.kernels.rule_table.RULE_TABLE`: the rule-table gather, the
+vectorized legitimacy/privilege predicates, the command vector and the
+R1–R5 write block.
 
 All functions take states as ``(trials, n)`` int64 arrays: ``X`` holds
 the Dijkstra counters, ``H`` the 2-bit handshake codes.
 
-:func:`run_convergence_cells` is the sweep engine's vectorized cell
-executor: it advances one *homogeneous group* of convergence cells (same
-``n``, ``K``, daemon, budget — only seeds differ) in lockstep.  Its
-randomness is counter-based (:mod:`repro.kernels.prng`), which makes each
-cell's trajectory a pure function of its own seed: running a cell alone
-or inside any group produces bit-identical results, the property the
-resumable sweep store leans on.
+The convergence path has three levels:
+
+* :func:`batched_step` — one daemon selection (synchronous, central or
+  Bernoulli) plus :func:`batched_execute`;
+* :func:`batched_converge` — steps the illegitimate rows until each first
+  satisfies Definition 1 and returns the final states too (publishing
+  ``batch`` telemetry when a session is active);
+* :func:`run_convergence_cells` — the sweep engine's cell executor: it
+  draws one *homogeneous group* of cells (same ``n``, ``K``, daemon,
+  budget — only seeds differ) and converges them in lockstep.
+
+Randomness is counter-based (:mod:`repro.kernels.prng`): every draw hashes
+``(seed, stream, step, lane)``, which makes each cell's trajectory a pure
+function of its own seed.  Running a cell alone or inside any group
+produces bit-identical results, the property the resumable sweep store
+leans on.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import numpy as np
 
 from repro.kernels.prng import grid_integers, grid_uniforms
 from repro.kernels.rule_table import RULE_TABLE
+from repro.telemetry.session import current_session
 
 #: The 128-entry guard-resolution table as a numpy LUT.
 RULE_LUT = np.frombuffer(RULE_TABLE, dtype=np.uint8)
@@ -38,6 +48,16 @@ STREAM_COINS = 2
 STREAM_PICK = 3
 
 
+def _pred(A: np.ndarray) -> np.ndarray:
+    """Each column's ring predecessor (``np.roll(A, 1, axis=1)``)."""
+    return np.concatenate((A[:, -1:], A[:, :-1]), axis=1)
+
+
+def _succ(A: np.ndarray) -> np.ndarray:
+    """Each column's ring successor (``np.roll(A, -1, axis=1)``)."""
+    return np.concatenate((A[:, 1:], A[:, :1]), axis=1)
+
+
 def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(G, rule)`` arrays; rule in {0 (none), 1..5} after priority.
 
@@ -46,12 +66,12 @@ def batched_guards(X: np.ndarray, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     separate guard masks + a ``np.select`` cascade.
     """
     n = X.shape[1]
-    Xp = np.roll(X, 1, axis=1)
+    Xp = _pred(X)
     G = X != Xp
     G[:, 0] = X[:, 0] == X[:, n - 1]
 
-    Hp = np.roll(H, 1, axis=1)
-    Hs = np.roll(H, -1, axis=1)
+    Hp = _pred(H)
+    Hs = _succ(H)
 
     idx = (G.astype(np.int64) << 6) | (Hp << 4) | (H << 2) | Hs
     rule = RULE_LUT[idx].astype(np.int64)
@@ -66,7 +86,7 @@ def batched_commands(X: np.ndarray, K: int) -> np.ndarray:
     the predecessor column (composite atomicity: all from the old state).
     """
     n = X.shape[1]
-    C = np.roll(X, 1, axis=1)
+    C = _pred(X)
     C[:, 0] = (X[:, n - 1] + 1) % K
     return C
 
@@ -100,10 +120,10 @@ def batched_privileged_counts(X: np.ndarray, H: np.ndarray) -> np.ndarray:
     token (``tra_i = 1`` or ``rts_i = 1`` with a quiet successor).
     """
     n = X.shape[1]
-    Xp = np.roll(X, 1, axis=1)
+    Xp = _pred(X)
     G = X != Xp
     G[:, 0] = X[:, 0] == X[:, n - 1]
-    Hs = np.roll(H, -1, axis=1)
+    Hs = _succ(H)
     rts = H >= 2
     tra = (H % 2) == 1
     secondary = tra | (rts & (Hs == 0))
@@ -213,6 +233,110 @@ def _pick_one_enabled(
     return out
 
 
+def batched_step(
+    X: np.ndarray,
+    H: np.ndarray,
+    K: int,
+    seeds: Sequence[int],
+    kind: str,
+    p: float,
+    k: int,
+    active: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(new_X, new_H)`` after one daemon step at step counter ``k``.
+
+    Row ``r`` belongs to cell ``seeds[r]``; every daemon draw hashes
+    ``(seeds[r], stream, k)``, so a step is a pure function of the state,
+    the seeds and ``k``.  ``kind``/``p`` come from :func:`parse_daemon`.
+    Rows masked out by ``active`` stay put.
+    """
+    _, rule = batched_guards(X, H)
+    enabled = rule > 0
+    if active is not None:
+        enabled &= active[:, None]
+
+    if kind == "synchronous":
+        selected = enabled
+    elif kind == "central":
+        any_enabled = enabled.any(axis=1)
+        u = grid_uniforms(seeds, STREAM_PICK, k, 1)[:, 0]
+        selected = np.zeros_like(enabled)
+        if any_enabled.any():
+            selected[any_enabled] = _pick_one_enabled(
+                enabled[any_enabled], u[any_enabled]
+            )
+    else:  # bernoulli
+        coins = grid_uniforms(seeds, STREAM_COINS, k, X.shape[1]) < p
+        selected = enabled & coins
+        empty = enabled.any(axis=1) & ~selected.any(axis=1)
+        if empty.any():
+            u = grid_uniforms(seeds, STREAM_PICK, k, 1)[:, 0]
+            selected[empty] = _pick_one_enabled(enabled[empty], u[empty])
+
+    return batched_execute(X, H, np.where(selected, rule, 0), K)
+
+
+def batched_converge(
+    X: np.ndarray,
+    H: np.ndarray,
+    K: int,
+    seeds: Sequence[int],
+    kind: str,
+    p: float,
+    budget: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(steps, X, H)``: step every row until it first satisfies Definition 1.
+
+    Step ``k`` (1-based) runs :func:`batched_step` at counter ``k`` on the
+    rows still illegitimate; a row that turns legitimate is frozen there.
+    ``steps`` holds the first legitimate step per row (0 for legitimate
+    starts, ``-1`` if the budget ran out); ``X``/``H`` are the final states.
+
+    Under an active telemetry session the loop publishes ``batch``
+    ``run_start``/``batch_step``/``run_end`` events, counts
+    ``batch_steps_total`` and observes each converged row's steps into
+    ``convergence_steps{engine="batch"}``; without one it costs a single
+    session lookup.
+    """
+    trials = X.shape[0]
+    tel = current_session()
+    if tel is not None:
+        batch_steps = tel.registry.counter(
+            "batch_steps_total", "vectorized lockstep iterations")
+        tel.bus.publish(
+            "batch", "run_start", 0.0,
+            algorithm="SSRmin", n=X.shape[1], K=K,
+            daemon={"name": kind, "p": p}, trials=trials, max_steps=budget,
+        )
+
+    steps = np.full(trials, -1, dtype=np.int64)
+    legit = batched_legitimate(X, H, K)
+    steps[legit] = 0
+    active = ~legit
+    k = 0
+    for k in range(1, budget + 1):
+        if not active.any():
+            k -= 1
+            break
+        X, H = batched_step(X, H, K, seeds, kind, p, k, active)
+        if tel is not None:
+            batch_steps.inc()
+            tel.bus.publish("batch", "batch_step", float(k),
+                            step=k, active=int(active.sum()))
+        legit = batched_legitimate(X, H, K)
+        steps[active & legit] = k
+        active &= ~legit
+
+    if tel is not None:
+        hist = tel.registry.histogram(
+            "convergence_steps", "steps until first legitimacy")
+        for s in steps[steps >= 0]:
+            hist.observe(float(s), engine="batch")
+        tel.bus.publish("batch", "run_end", float(k), trials=trials,
+                        converged=int((steps >= 0).sum()))
+    return steps, X, H
+
+
 def run_convergence_cells(
     n: int,
     seeds: Sequence[int],
@@ -243,53 +367,13 @@ def run_convergence_cells(
     kind, p = parse_daemon(daemon)
     budget = 60 * n * n + 600 if budget is None else int(budget)
     seeds = list(seeds)
-    cells = len(seeds)
 
     X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
     H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
-
-    steps = np.full(cells, -1, dtype=np.int64)
-    legit = batched_legitimate(X, H, K)
-    steps[legit] = 0
-    active = ~legit
-    for k in range(1, budget + 1):
-        if not active.any():
-            break
-        _, rule = batched_guards(X, H)
-        enabled = rule > 0
-        enabled &= active[:, None]
-
-        if kind == "synchronous":
-            selected = enabled
-        elif kind == "central":
-            any_enabled = enabled.any(axis=1)
-            u = grid_uniforms(seeds, STREAM_PICK, k, 1)[:, 0]
-            selected = np.zeros_like(enabled)
-            if any_enabled.any():
-                selected[any_enabled] = _pick_one_enabled(
-                    enabled[any_enabled], u[any_enabled]
-                )
-        else:  # bernoulli
-            coins = grid_uniforms(seeds, STREAM_COINS, k, n) < p
-            selected = enabled & coins
-            empty = enabled.any(axis=1) & ~selected.any(axis=1)
-            if empty.any():
-                u = grid_uniforms(seeds, STREAM_PICK, k, 1)[:, 0]
-                selected[empty] = _pick_one_enabled(
-                    enabled[empty], u[empty]
-                )
-
-        X, H = batched_execute(X, H, np.where(selected, rule, 0), K)
-
-        legit = batched_legitimate(X, H, K)
-        newly = active & legit
-        steps[newly] = k
-        active &= ~legit
-
+    steps, _, _ = batched_converge(X, H, K, seeds, kind, p, budget)
     return [
-        {"steps": int(steps[c]), "converged": bool(steps[c] >= 0),
-         "budget": budget}
-        for c in range(cells)
+        {"steps": int(s), "converged": bool(s >= 0), "budget": budget}
+        for s in steps
     ]
 
 
@@ -301,11 +385,13 @@ __all__ = [
     "STREAM_INIT_X",
     "STREAM_PICK",
     "batched_commands",
+    "batched_converge",
     "batched_dijkstra_legitimate",
     "batched_execute",
     "batched_guards",
     "batched_legitimate",
     "batched_privileged_counts",
+    "batched_step",
     "parse_daemon",
     "run_convergence_cells",
     "unpack_keys",

@@ -22,7 +22,8 @@ may warn).
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import functools
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +53,23 @@ def mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
+@functools.lru_cache(maxsize=64)
+def _lane_keys(lanes: int) -> np.ndarray:
+    """The mixed lane indices ``0..lanes-1`` (read-only, cached)."""
+    keys = mix64(np.arange(lanes, dtype=np.uint64))
+    keys.flags.writeable = False
+    return keys
+
+
+@functools.lru_cache(maxsize=16)
+def _stream_keys(seeds: Tuple[int, ...], stream: int) -> np.ndarray:
+    """The step-independent part of :func:`counter_keys` (read-only, cached:
+    a lockstep loop draws the same seeds and streams at every step)."""
+    keys = mix64(mix64(_u64(seeds)) ^ mix64(_u64([stream]))[0])
+    keys.flags.writeable = False
+    return keys
+
+
 def counter_keys(seeds: SeedVector, stream: int, step: int) -> np.ndarray:
     """One mixed uint64 key per seed for coordinate ``(stream, step)``.
 
@@ -60,9 +78,7 @@ def counter_keys(seeds: SeedVector, stream: int, step: int) -> np.ndarray:
     mixes keeps the composition asymmetric, so ``(stream=a, step=b)``
     and ``(stream=b, step=a)`` do not collide.
     """
-    h = mix64(_u64(seeds))
-    h = mix64(h ^ mix64(_u64([stream]))[0])
-    return mix64(h ^ mix64(_u64([step]))[0])
+    return mix64(_stream_keys(tuple(seeds), stream) ^ mix64(_u64([step]))[0])
 
 
 def grid_uniforms(
@@ -73,8 +89,7 @@ def grid_uniforms(
     Entry ``[c, l]`` depends only on ``(seeds[c], stream, step, l)``.
     """
     keys = counter_keys(seeds, stream, step)
-    lane = mix64(np.arange(lanes, dtype=np.uint64))
-    mixed = mix64(keys[:, None] ^ lane[None, :])
+    mixed = mix64(keys[:, None] ^ _lane_keys(lanes)[None, :])
     return (mixed >> _S11).astype(np.float64) * _INV53
 
 

@@ -11,9 +11,9 @@
   convergence-time measurement.
 * :mod:`repro.simulation.initial` — initial-configuration generators
   (random, perturbed-legitimate, crafted worst-case-flavoured patterns).
-* :mod:`repro.simulation.batch` — a numpy-vectorized batch engine advancing
-  thousands of independent SSRmin instances in lockstep (the scaling-study
-  hot loop, equivalence-tested against the scalar engine).
+
+Batched (numpy) convergence over thousands of independent SSRmin instances
+lives in :mod:`repro.kernels.batched`.
 """
 
 from repro.simulation.engine import SharedMemorySimulator, SimulationResult
@@ -31,7 +31,6 @@ from repro.simulation.convergence import (
     convergence_steps,
     ConvergenceResult,
 )
-from repro.simulation.batch import BatchSSRmin, BatchResult, batch_convergence_steps
 from repro.simulation.serialize import save_execution, load_execution
 
 __all__ = [
@@ -48,9 +47,6 @@ __all__ = [
     "converge",
     "convergence_steps",
     "ConvergenceResult",
-    "BatchSSRmin",
-    "BatchResult",
-    "batch_convergence_steps",
     "save_execution",
     "load_execution",
 ]

@@ -17,9 +17,9 @@ that with
 
 Kernels are wired behind the existing interfaces: the engine
 (:class:`~repro.simulation.engine.SharedMemorySimulator`), the convergence
-driver (:func:`~repro.simulation.convergence.converge`), the vectorized
-batch engine (shared rule table) and the explicit-state
-:class:`~repro.verification.transition_system.TransitionSystem` all probe
+driver (:func:`~repro.simulation.convergence.converge`) and the
+explicit-state :class:`~repro.verification.transition_system.TransitionSystem`
+all probe
 ``algorithm.fast_kernel()`` and fall back to the naive path when it returns
 ``None``.  Every entry point takes ``use_fastpath=False`` as an escape
 hatch, and the ``REPRO_FASTPATH=0`` environment variable (or the

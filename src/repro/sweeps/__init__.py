@@ -1,7 +1,8 @@
 """First-class phase-diagram sweeps over the unified kernel layer.
 
-The package generalizes the one-off seeds × n × loss grid of
-:mod:`repro.messagepassing.fastpath.sweep` into a sweep *engine*:
+The package is the repository's one sweep driver: the sweep CLI, the
+Theorem-4 experiment (through the engine's DES cell worker) and the
+benchmark all run their grids through it.
 
 * :mod:`repro.sweeps.spec` — typed grid specifications
   (n × loss × delay × duplication × daemon-family) with deterministic

@@ -245,17 +245,16 @@ def run_sweep(
                          spec.gap_duration)
                         for c in missing
                     ]
-                walls: Dict[int, float] = {}
+                last = time.perf_counter()
 
                 def _on_result(index, result, _done, _total):
-                    cell = missing[index]
-                    wall = time.perf_counter() - walls.get(index, t0)
-                    _record(cell, result, "per-cell", wall)
+                    # A cell's wall is the time since the previous
+                    # completion, so the walls add up to the run's.
+                    nonlocal last
+                    now = time.perf_counter()
+                    _record(missing[index], result, "per-cell", now - last)
+                    last = now
 
-                # Wall clocks are informational; parallel completion order
-                # makes exact per-cell timing from the parent approximate.
-                for i in range(len(missing)):
-                    walls[i] = time.perf_counter()
                 run_tasks_parallel(
                     worker, payloads, workers=workers, on_result=_on_result,
                 )

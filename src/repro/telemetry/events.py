@@ -1,7 +1,7 @@
 """The structured event bus: one ``Event`` schema for every layer.
 
 Both execution models publish into this bus — the state-reading engine
-(layer ``"engine"``), the vectorized batch engine (layer ``"batch"``), the
+(layer ``"engine"``), the batched numpy kernel (layer ``"batch"``), the
 CST message-passing network (layer ``"network"``) and the experiment
 harness (layer ``"experiment"``).  Every event carries:
 

@@ -8,7 +8,7 @@ is built from.
 
 Sessions are installed with the :func:`telemetry_session` context manager
 and discovered with :func:`current_session`.  Instrumented code
-(`simulation/engine.py`, `simulation/batch.py`,
+(`simulation/engine.py`, `kernels/batched.py`,
 `messagepassing/network.py`, ...) looks the active session up **once per
 run**; when none is active the instrumentation collapses to a single
 ``None`` check, which keeps the disabled overhead within the < 5% budget

@@ -76,10 +76,15 @@ class TestOnRealWorkloads:
     def test_k_insensitivity_statistically(self):
         """abl5 as a statistical claim: K=n+1 vs K=16n convergence-step
         distributions are NOT meaningfully separated."""
-        from repro.simulation.batch import batch_convergence_steps
+        from repro.kernels.batched import run_convergence_cells
+
+        def steps(K, seeds):
+            rows = run_convergence_cells(n, seeds, "bernoulli:0.5", K=K)
+            assert all(r["converged"] for r in rows)
+            return [r["steps"] for r in rows]
 
         n = 8
-        a = batch_convergence_steps(n=n, trials=300, K=n + 1, seed=0)
-        b = batch_convergence_steps(n=n, trials=300, K=16 * n, seed=1)
+        a = steps(n + 1, range(300))
+        b = steps(16 * n, range(300, 600))
         cmp = compare_distributions(a, b)
         assert abs(cmp.cliffs_delta) < 0.3

@@ -117,13 +117,15 @@ class TestFaultedNetworkServicePipeline:
 class TestScalingPipeline:
     def test_batch_sweep_to_fit(self):
         """vectorized sweep -> summary -> power-law fit, end to end."""
-        from repro.simulation.batch import batch_convergence_steps
+        from repro.kernels.batched import run_convergence_cells
 
         ns = (6, 12, 24)
         means = []
         for n in ns:
-            steps = batch_convergence_steps(n=n, trials=150, p=0.5, seed=n)
-            means.append(float(steps.mean()))
+            rows = run_convergence_cells(
+                n, range(1000 * n, 1000 * n + 150), "bernoulli:0.5")
+            assert all(r["converged"] for r in rows)
+            means.append(sum(r["steps"] for r in rows) / len(rows))
         fit = fit_power_law(ns, means)
         assert 0.5 <= fit.exponent <= 2.2
         assert fit.r_squared > 0.9

@@ -340,46 +340,54 @@ def test_projection_codec_agrees_with_reference_path():
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo sweep engine
+# Loss sweeps through the sweep engine's DES cell worker
 # ---------------------------------------------------------------------------
 
+def _des_payloads(losses, seeds, gap_duration):
+    """``_des_cell_worker`` payloads for an n=4 SSRmin (loss × seed) grid."""
+    return [
+        ("ssrmin", 4, loss, 1.0, 0.0, seed, 5.0, 20_000.0, gap_duration)
+        for loss in losses
+        for seed in seeds
+    ]
+
+
 def test_sweep_rejects_unknown_algorithm():
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
+    from repro.sweeps.engine import _des_cell_worker
 
     with pytest.raises(ValueError, match="unknown algorithm"):
-        run_loss_sweep("nope", workers=1)
+        _des_cell_worker(("nope",) + _des_payloads((0.0,), (0,), 10.0)[0][1:])
 
 
 def test_sweep_grid_order_and_engine_independence():
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
+    from repro.experiments.parallel import run_tasks_parallel
+    from repro.sweeps.engine import _des_cell_worker
 
-    kwargs = dict(
-        n_values=(4,), loss_rates=(0.0, 0.2), seeds=range(2),
-        workers=1, gap_duration=20.0,
-    )
-    fast = run_loss_sweep("ssrmin", use_fastpath=True, **kwargs)
-    ref = run_loss_sweep("ssrmin", use_fastpath=False, **kwargs)
-    assert [(c.n, c.loss, c.seed) for c in fast] == [
-        (4, 0.0, 0), (4, 0.0, 1), (4, 0.2, 0), (4, 0.2, 1),
-    ]
-    strip = lambda cells: [
-        {k: v for k, v in c.to_json().items() if k != "wall_seconds"}
-        for c in cells
-    ]
-    assert strip(fast) == strip(ref)
+    payloads = _des_payloads((0.0, 0.2), range(2), 20.0)
+    with mp_fastpath_override(True):
+        fast = run_tasks_parallel(_des_cell_worker, payloads, workers=1)
+    with mp_fastpath_override(False):
+        ref = run_tasks_parallel(_des_cell_worker, payloads, workers=1)
+    assert fast == ref
+    # Pool workers complete in any order; cells still come back in grid
+    # order, one per payload.
+    assert run_tasks_parallel(_des_cell_worker, payloads, workers=2) == fast
 
 
 def test_sweep_streams_cells_into_telemetry_session():
-    from repro.messagepassing.fastpath.sweep import run_loss_sweep
+    from repro.experiments.runners_theorems import run_thm4
     from repro.telemetry import telemetry_session
 
     seen = []
     with telemetry_session() as session:
         session.subscribe(lambda ev: seen.append(ev))
-        cells = run_loss_sweep(
-            "ssrmin", n_values=(4,), loss_rates=(0.1,), seeds=range(2),
-            workers=1, gap_duration=10.0,
-        )
+        result = run_thm4(fast=True)
+    assert result.match
     sweep_events = [ev for ev in seen if ev.kind == "sweep_cell"]
-    assert len(sweep_events) == len(cells) == 2
-    assert {ev.payload["seed"] for ev in sweep_events} == {0, 1}
+    assert len(sweep_events) == 9
+    assert {ev.payload["seed"] for ev in sweep_events} == {100, 101, 102}
+    assert {ev.payload["loss"] for ev in sweep_events} == {0.0, 0.1, 0.3}
+    assert set(sweep_events[0].payload) == {
+        "algorithm", "n", "loss", "seed", "stabilized_at", "min_tokens",
+        "max_tokens", "zero_time", "events", "wall_seconds",
+    }

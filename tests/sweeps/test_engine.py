@@ -83,6 +83,18 @@ def test_des_sweep_runs_per_cell(tmp_path):
         assert rec["result"]["min_tokens"] >= 1
 
 
+def test_per_cell_walls_sum_to_at_most_the_sweep_wall(tmp_path):
+    spec = SweepSpec(
+        name="w", kind="des", n_values=(4,), seeds=tuple(range(10)),
+        loss_rates=(0.0, 0.2), max_time=4000.0, gap_duration=10.0,
+    )
+    summary = run_sweep(spec, base_dir=str(tmp_path), workers=1)
+    walls = [rec["wall_seconds"] for rec in _cells(str(tmp_path), "w")]
+    assert len(walls) == 20
+    assert all(w >= 0.0 for w in walls)
+    assert sum(walls) <= summary["wall_seconds"]
+
+
 def test_report_is_store_derived(tmp_path):
     base = str(tmp_path)
     spec = SweepSpec(name="rep", n_values=(5, 8), seeds=tuple(range(4)))

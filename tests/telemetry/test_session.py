@@ -7,7 +7,7 @@ from repro.core.ssrmin import SSRmin
 from repro.messagepassing.cst import transformed
 from repro.messagepassing.links import UniformDelay
 from repro.messagepassing.trace import MessageTrace
-from repro.simulation.batch import batch_convergence_steps
+from repro.kernels.batched import run_convergence_cells
 from repro.telemetry import (
     TraceStats,
     current_session,
@@ -128,7 +128,7 @@ class TestTraceFile:
 class TestBatchInstrumentation:
     def test_convergence_histogram_observed(self):
         with telemetry_session() as session:
-            batch_convergence_steps(n=5, trials=16, p=0.5, seed=0)
+            run_convergence_cells(5, range(16), "bernoulli:0.5")
         hist = session.registry.get("convergence_steps")
         assert hist is not None
         assert hist.count(engine="batch") == 16
