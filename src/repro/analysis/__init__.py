@@ -19,23 +19,52 @@
   comparing step/time distributions (scipy).
 """
 
-from repro.analysis.statistics import Summary, summarize
-from repro.analysis.scaling import PowerLawFit, fit_power_law
-from repro.analysis.census import CensusReport, census_execution
-from repro.analysis.tracefmt import format_trace, format_token_movement
-from repro.analysis.rounds import RoundCounter, measure_rounds
-from repro.analysis.superstabilization import (
-    SuperstabilizationReport,
-    study_single_fault,
-)
-from repro.analysis.service import ServiceMonitor, service_report, jain_fairness
-from repro.analysis.profiling import Stopwatch, time_callable, profile_callable
-from repro.analysis.fairness import FairnessReport, starvation_report
-from repro.analysis.distributions import (
-    DistributionComparison,
-    compare_distributions,
-    effect_size,
-)
+import importlib
+
+#: Public name -> defining submodule.  Exports resolve on first access
+#: (PEP 562), so importing one submodule (say ``repro.analysis.scaling``)
+#: does not pull in the others, and with them scipy.
+_EXPORTS = {
+    "Summary": "statistics",
+    "summarize": "statistics",
+    "PowerLawFit": "scaling",
+    "fit_power_law": "scaling",
+    "CensusReport": "census",
+    "census_execution": "census",
+    "format_trace": "tracefmt",
+    "format_token_movement": "tracefmt",
+    "RoundCounter": "rounds",
+    "measure_rounds": "rounds",
+    "SuperstabilizationReport": "superstabilization",
+    "study_single_fault": "superstabilization",
+    "ServiceMonitor": "service",
+    "service_report": "service",
+    "jain_fairness": "service",
+    "Stopwatch": "profiling",
+    "time_callable": "profiling",
+    "profile_callable": "profiling",
+    "FairnessReport": "fairness",
+    "starvation_report": "fairness",
+    "DistributionComparison": "distributions",
+    "compare_distributions": "distributions",
+    "effect_size": "distributions",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "Summary",

@@ -135,25 +135,24 @@ def compare_engines(n: int = 8, trials: int = 50, seed: int = 0) -> Dict[str, fl
 
     Runs the same convergence workload both ways and returns
     ``{"scalar_seconds": ..., "batch_seconds": ..., "speedup": ...}`` —
-    the motivating measurement for :mod:`repro.kernels.batched`.
+    the motivating measurement for :mod:`repro.kernels.batched`.  Each
+    side reports the best of three runs, so one scheduler hiccup on a
+    busy host cannot flip the ratio.
     """
     from repro.core.ssrmin import SSRmin
     from repro.daemons.distributed import BernoulliDaemon
     from repro.kernels.batched import run_convergence_cells
     from repro.simulation.convergence import convergence_steps
 
-    t0 = time.perf_counter()
-    convergence_steps(
+    scalar = time_callable(lambda: convergence_steps(
         algorithm_factory=lambda: SSRmin(n, n + 1),
         daemon_factory=lambda alg, s: BernoulliDaemon(0.5, seed=s),
         trials=trials,
         seed=seed,
-    )
-    scalar = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    run_convergence_cells(n, range(seed, seed + trials), "bernoulli:0.5")
-    batch = time.perf_counter() - t0
+    ), repeats=3, warmup=0).minimum
+    batch = time_callable(lambda: run_convergence_cells(
+        n, range(seed, seed + trials), "bernoulli:0.5"),
+        repeats=3, warmup=0).minimum
 
     return {
         "scalar_seconds": scalar,

@@ -16,7 +16,10 @@ The convergence path has three levels:
   Bernoulli) plus :func:`batched_execute`;
 * :func:`batched_converge` — steps the illegitimate rows until each first
   satisfies Definition 1 and returns the final states too (publishing
-  ``batch`` telemetry when a session is active);
+  ``batch`` telemetry when a session is active).  Its loop is incremental
+  — guards once per state, a gated legitimacy latch, block-drawn
+  counters and, under the central daemon, a windowed one-site update —
+  and bit-identical to repeating :func:`batched_step`;
 * :func:`run_convergence_cells` — the sweep engine's cell executor: it
   draws one *homogeneous group* of cells (same ``n``, ``K``, daemon,
   budget — only seeds differ) and converges them in lockstep.
@@ -34,7 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.prng import grid_integers, grid_uniforms
+from repro.kernels.prng import (
+    grid_integers,
+    grid_uniforms,
+    grid_uniforms_block,
+)
 from repro.kernels.rule_table import RULE_TABLE
 from repro.telemetry.session import current_session
 
@@ -276,6 +283,227 @@ def batched_step(
     return batched_execute(X, H, np.where(selected, rule, 0), K)
 
 
+#: Handshake code each rule writes (index = rule id; 0 = no move).
+_H_AFTER = np.array([0, 2, 0, 1, 0, 0], dtype=np.int64)
+#: Rules that also write the command into ``x`` (R2, R4).
+_X_MOVES = np.array([False, False, True, False, True, False])
+#: Column offsets of the central step's window around the moved site.
+_WINDOW = np.arange(-2, 3)
+#: Upper bound on the uniforms one lockstep draw block holds.
+_BLOCK_DRAWS = 1 << 15
+
+
+def _gate(bounds: np.ndarray) -> np.ndarray:
+    """Rows passing Definition 1's cheap necessary condition.
+
+    A legitimate row has 0 or 2 cyclic x-boundaries: all counters equal,
+    or one interior step plus the wraparound.
+    """
+    return (bounds | 2) == 2
+
+
+def _boundaries(G: np.ndarray) -> np.ndarray:
+    """Cyclic x-boundaries per row from the guard mask ``G``.
+
+    ``G[:, i]`` is ``x_i != x_{i-1}`` except at column 0, where it is the
+    equality ``x_0 == x_{n-1}``.
+    """
+    return G.sum(axis=1) + 1 - 2 * G[:, 0]
+
+
+def _legitimate_rows(bounds: np.ndarray, X: np.ndarray, H: np.ndarray,
+                     K: int) -> np.ndarray:
+    """Indices of the rows satisfying Definition 1, behind the gate."""
+    rows = _gate(bounds).nonzero()[0]
+    if rows.size:
+        rows = rows[batched_legitimate(X[rows], H[rows], K)]
+    return rows
+
+
+class _Draws:
+    """One PRNG stream's per-step uniforms for the working rows.
+
+    Consecutive step counters are hashed in blocks by
+    :func:`~repro.kernels.prng.grid_uniforms_block`; a block doubles from
+    8 steps up to :data:`_BLOCK_DRAWS` uniforms and never runs past
+    ``last``, so short runs draw little and long ones pay one call per
+    block.
+    """
+
+    def __init__(self, seeds: np.ndarray, stream: int, lanes: int,
+                 last: int):
+        self.seeds = seeds
+        self.stream = stream
+        self.lanes = lanes
+        self.last = last
+        self.k0 = 1
+        self.span = 8
+        self.block = np.empty((0, len(seeds), lanes))
+
+    def at(self, k: int) -> np.ndarray:
+        """``(rows, lanes)`` uniforms of step ``k`` (non-decreasing ``k``)."""
+        j = k - self.k0
+        if j >= len(self.block):
+            cap = max(1, _BLOCK_DRAWS // (len(self.seeds) * self.lanes))
+            span = min(self.span, cap, self.last - k + 1)
+            self.block = grid_uniforms_block(
+                self.seeds.tolist(), self.stream, k, span, self.lanes)
+            self.k0, self.span, j = k, self.span * 2, 0
+        return self.block[j]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.seeds = self.seeds[mask]
+        self.block = self.block[:, mask]
+
+
+class _ParallelLanes:
+    """Synchronous and Bernoulli lockstep: every enabled site may move.
+
+    Holds ``(G, rule)`` of the current state; one guard pass per step
+    serves both the legitimacy latch and the next daemon selection.
+    """
+
+    def __init__(self, X, H, K, seeds, kind, p, budget):
+        self.X, self.H, self.K, self.p = X, H, K, p
+        self.G, self.rule = batched_guards(X, H)
+        self.draws = None
+        if kind == "bernoulli":
+            self.draws = (_Draws(seeds, STREAM_COINS, X.shape[1], budget),
+                          _Draws(seeds, STREAM_PICK, 1, budget))
+
+    def legitimate(self) -> np.ndarray:
+        """Indices of the working rows whose state satisfies Definition 1."""
+        return _legitimate_rows(_boundaries(self.G), self.X, self.H, self.K)
+
+    def step(self, k: int) -> None:
+        fire = self.rule
+        if self.draws is not None:
+            coins, picks = self.draws
+            fire = np.where(coins.at(k) < self.p, fire, 0)
+            empty = np.flatnonzero(~fire.any(axis=1))
+            if empty.size:
+                rule = self.rule[empty]
+                one = _pick_one_enabled(rule > 0, picks.at(k)[empty, 0])
+                fire[empty] = np.where(one, rule, 0)
+        self.X, self.H = batched_execute(self.X, self.H, fire, self.K)
+        self.G, self.rule = batched_guards(self.X, self.H)
+
+    def state(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.X, self.H
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.X, self.H = self.X[mask], self.H[mask]
+        self.G, self.rule = self.G[mask], self.rule[mask]
+        if self.draws is not None:
+            for draws in self.draws:
+                draws.keep(mask)
+
+
+def _window_rules() -> np.ndarray:
+    """``(2**13, 3)`` rules of columns ``c-1, c, c+1`` by window key.
+
+    The key packs the guards ``G`` of those three columns (bits 12..10,
+    ``c-1`` highest) above the handshake codes of columns ``c-2 .. c+2``
+    (two bits each, ``c-2`` highest): the rule-table gather of
+    :func:`batched_guards`, pre-applied to every window.
+    """
+    key = np.arange(1 << 13)
+    h = [(key >> (8 - 2 * i)) & 3 for i in range(5)]
+    g = [(key >> (12 - j)) & 1 for j in range(3)]
+    return np.stack([
+        RULE_LUT[(g[j] << 6) | (h[j] << 4) | (h[j + 1] << 2) | h[j + 2]]
+        for j in range(3)
+    ], axis=1)
+
+
+_WINDOW_RULES = _window_rules()
+_WINDOW_ENABLED = _WINDOW_RULES > 0
+_G_WEIGHTS = np.array([1 << 12, 1 << 11, 1 << 10])
+_H_WEIGHTS = np.array([1 << 8, 1 << 6, 1 << 4, 1 << 2, 1])
+
+
+class _CentralLanes:
+    """Central-daemon lockstep: exactly one site per row moves.
+
+    State, rules and enabled flags live in flat row-major arrays and are
+    patched per step: the moved site's rule is applied through flat
+    indices, the rules of columns ``c-1 .. c+1`` are re-resolved from the
+    5-wide window ``c-2 .. c+2`` around it, and the gate's x-boundary
+    count moves by its delta.  Every row keeps an enabled site because no
+    configuration is deadlocked (Lemma 4).
+    """
+
+    def __init__(self, X, H, K, seeds, budget):
+        self.n, self.K = X.shape[1], K
+        G, rule = batched_guards(X, H)
+        self.bounds = _boundaries(G)
+        self.X, self.H, self.rule = X.ravel(), H.ravel(), rule.ravel()
+        self.enabled = self.rule > 0
+        self.draws = _Draws(seeds, STREAM_PICK, 1, budget)
+        self._index(X.shape[0])
+
+    def _index(self, rows: int) -> None:
+        """Per-site window indices and column-0 flags for ``rows`` rows."""
+        n = self.n
+        cols = (np.arange(n)[:, None] + _WINDOW) % n
+        base = np.arange(rows)[:, None, None] * n
+        self.window = (base + cols).reshape(-1, 5)
+        self.first = np.tile(cols[:, 1:4] == 0, (rows, 1))
+        self.edges = np.arange(rows + 1) * n
+
+    def legitimate(self) -> np.ndarray:
+        """Indices of the working rows whose state satisfies Definition 1."""
+        return _legitimate_rows(self.bounds, *self.state(), self.K)
+
+    def step(self, k: int) -> None:
+        X, H = self.X, self.H
+        # The floor(u * count)-th enabled site of each row, in the order
+        # of _pick_one_enabled (u < 1 keeps the index below count).
+        sites = self.enabled.nonzero()[0]
+        edges = sites.searchsorted(self.edges)
+        count = edges[1:] - edges[:-1]
+        u = self.draws.at(k)[:, 0]
+        f = sites.take(edges[:-1] + (u * count).astype(np.int64))
+
+        # Apply its rule; x counters lie in [0, K), so the command is
+        # the predecessor's x plus one at column 0 only.
+        r = self.rule.take(f)
+        w = self.window.take(f, axis=0)
+        first = self.first.take(f, axis=0)
+        xw, hw = X.take(w), H.take(w)
+        before = xw[:, 1:4] != xw[:, :3]
+        x_new = np.where(_X_MOVES.take(r),
+                         (xw[:, 1] + first[:, 1]) % self.K, xw[:, 2])
+        h_new = _H_AFTER.take(r)
+        X.put(f, x_new)
+        H.put(f, h_new)
+        xw[:, 2] = x_new
+        hw[:, 2] = h_new
+
+        # Re-resolve columns c-1 .. c+1 and count the x-boundary change.
+        after = xw[:, 1:4] != xw[:, :3]
+        self.bounds += (after.view(np.int8)
+                        - before.view(np.int8)).sum(axis=1)
+        key = ((after ^ first).view(np.int8).dot(_G_WEIGHTS)
+               + hw.dot(_H_WEIGHTS))
+        mid = w[:, 1:4]
+        self.rule.put(mid, _WINDOW_RULES.take(key, axis=0))
+        self.enabled.put(mid, _WINDOW_ENABLED.take(key, axis=0))
+
+    def state(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.X.reshape(-1, self.n), self.H.reshape(-1, self.n)
+
+    def keep(self, mask: np.ndarray) -> None:
+        n = self.n
+        self.X = self.X.reshape(-1, n)[mask].ravel()
+        self.H = self.H.reshape(-1, n)[mask].ravel()
+        self.rule = self.rule.reshape(-1, n)[mask].ravel()
+        self.enabled = self.enabled.reshape(-1, n)[mask].ravel()
+        self.bounds = self.bounds[mask]
+        self.draws.keep(mask)
+        self._index(len(self.bounds))
+
+
 def batched_converge(
     X: np.ndarray,
     H: np.ndarray,
@@ -287,10 +515,18 @@ def batched_converge(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(steps, X, H)``: step every row until it first satisfies Definition 1.
 
-    Step ``k`` (1-based) runs :func:`batched_step` at counter ``k`` on the
+    Step ``k`` (1-based) is :func:`batched_step` at counter ``k`` on the
     rows still illegitimate; a row that turns legitimate is frozen there.
     ``steps`` holds the first legitimate step per row (0 for legitimate
     starts, ``-1`` if the budget ran out); ``X``/``H`` are the final states.
+
+    The loop is incremental but bit-identical to that definition.  It
+    steps only the rows still running, computes the guards once per state
+    (they feed both the legitimacy latch and the next selection), runs the
+    full Definition-1 test only on rows passing a counter gate, draws the
+    daemon's uniforms in blocks of consecutive step counters, and under
+    the central daemon patches the one moved site's neighbourhood instead
+    of re-resolving the ring.
 
     Under an active telemetry session the loop publishes ``batch``
     ``run_start``/``batch_step``/``run_end`` events, counts
@@ -309,23 +545,37 @@ def batched_converge(
             daemon={"name": kind, "p": p}, trials=trials, max_steps=budget,
         )
 
+    X = np.array(X, dtype=np.int64)
+    H = np.array(H, dtype=np.int64)
+    seeds = np.asarray(list(seeds), dtype=np.int64)
+    if kind == "central":
+        lanes = _CentralLanes(X.copy(), H.copy(), K, seeds, budget)
+    else:
+        lanes = _ParallelLanes(X.copy(), H.copy(), K, seeds, kind, p,
+                               budget)
     steps = np.full(trials, -1, dtype=np.int64)
-    legit = batched_legitimate(X, H, K)
-    steps[legit] = 0
-    active = ~legit
+    rows = np.arange(trials)        # original row of each working row
     k = 0
-    for k in range(1, budget + 1):
-        if not active.any():
-            k -= 1
+    while True:
+        done = lanes.legitimate()
+        if done.size:
+            retired = rows[done]
+            steps[retired] = k
+            Xw, Hw = lanes.state()
+            X[retired], H[retired] = Xw[done], Hw[done]
+            keep = np.ones(rows.size, dtype=bool)
+            keep[done] = False
+            rows = rows[keep]
+            lanes.keep(keep)
+        if not rows.size or k == budget:
             break
-        X, H = batched_step(X, H, K, seeds, kind, p, k, active)
+        k += 1
+        lanes.step(k)
         if tel is not None:
             batch_steps.inc()
             tel.bus.publish("batch", "batch_step", float(k),
-                            step=k, active=int(active.sum()))
-        legit = batched_legitimate(X, H, K)
-        steps[active & legit] = k
-        active &= ~legit
+                            step=k, active=int(rows.size))
+    X[rows], H[rows] = lanes.state()
 
     if tel is not None:
         hist = tel.registry.histogram(

@@ -47,10 +47,13 @@ def _u64(values) -> np.ndarray:
 
 def mix64(z: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, elementwise over a uint64 array."""
-    z = z + _GOLDEN
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+    z = z + _GOLDEN          # a fresh array: the rounds below run in place
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 @functools.lru_cache(maxsize=64)
@@ -70,6 +73,15 @@ def _stream_keys(seeds: Tuple[int, ...], stream: int) -> np.ndarray:
     return keys
 
 
+def _block_keys(
+    seeds: SeedVector, stream: int, k0: int, steps: int
+) -> np.ndarray:
+    """``(steps, len(seeds))`` mixed keys for steps ``k0 .. k0+steps-1``."""
+    step_keys = mix64(_u64(np.arange(k0, k0 + steps, dtype=np.int64)))
+    return mix64(_stream_keys(tuple(seeds), stream)[None, :]
+                 ^ step_keys[:, None])
+
+
 def counter_keys(seeds: SeedVector, stream: int, step: int) -> np.ndarray:
     """One mixed uint64 key per seed for coordinate ``(stream, step)``.
 
@@ -78,7 +90,25 @@ def counter_keys(seeds: SeedVector, stream: int, step: int) -> np.ndarray:
     mixes keeps the composition asymmetric, so ``(stream=a, step=b)``
     and ``(stream=b, step=a)`` do not collide.
     """
-    return mix64(_stream_keys(tuple(seeds), stream) ^ mix64(_u64([step]))[0])
+    return _block_keys(seeds, stream, step, 1)[0]
+
+
+def grid_uniforms_block(
+    seeds: SeedVector, stream: int, k0: int, steps: int, lanes: int
+) -> np.ndarray:
+    """``(steps, len(seeds), lanes)`` float64 uniforms in [0, 1).
+
+    Slice ``[j]`` is :func:`grid_uniforms` at step ``k0 + j``: entry
+    ``[j, c, l]`` depends only on ``(seeds[c], stream, k0 + j, l)``.  One
+    call hashes a run of consecutive step counters, which is how a
+    lockstep loop amortizes the per-call overhead over many steps.
+    """
+    keys = _block_keys(seeds, stream, k0, steps)
+    mixed = mix64(keys[:, :, None] ^ _lane_keys(lanes)[None, None, :])
+    mixed >>= _S11           # 53 bits: exact as int64 and as float64
+    out = mixed.view(np.int64).astype(np.float64)
+    out *= _INV53
+    return out
 
 
 def grid_uniforms(
@@ -86,11 +116,10 @@ def grid_uniforms(
 ) -> np.ndarray:
     """``(len(seeds), lanes)`` float64 uniforms in [0, 1).
 
-    Entry ``[c, l]`` depends only on ``(seeds[c], stream, step, l)``.
+    Entry ``[c, l]`` depends only on ``(seeds[c], stream, step, l)``: the
+    one-step slice of :func:`grid_uniforms_block`.
     """
-    keys = counter_keys(seeds, stream, step)
-    mixed = mix64(keys[:, None] ^ _lane_keys(lanes)[None, :])
-    return (mixed >> _S11).astype(np.float64) * _INV53
+    return grid_uniforms_block(seeds, stream, step, 1, lanes)[0]
 
 
 def grid_integers(
@@ -105,4 +134,10 @@ def grid_integers(
     return np.minimum((u * bound).astype(np.int64), bound - 1)
 
 
-__all__ = ["counter_keys", "grid_integers", "grid_uniforms", "mix64"]
+__all__ = [
+    "counter_keys",
+    "grid_integers",
+    "grid_uniforms",
+    "grid_uniforms_block",
+    "mix64",
+]

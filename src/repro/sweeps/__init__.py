@@ -12,8 +12,9 @@ benchmark all run their grids through it.
   fallback, with per-cell-seed determinism making the two bit-identical;
 * :mod:`repro.sweeps.store` — resumable checkpoints: JSONL write-ahead
   cells plus the RunStore's v3 ``sweeps``/``sweep_cells`` manifest index;
-* :mod:`repro.sweeps.report` — store-derived aggregation and the
-  Theorem-2 scaling re-fit.
+* :mod:`repro.sweeps.report` — store-derived aggregation and an
+  average-case scaling fit of mean steps under randomized daemons (not
+  Theorem 2's worst case).
 
 CLI surface: ``repro sweep run|resume|status|report``.
 """

@@ -1,6 +1,6 @@
 """Sweep-engine benchmark: batched cells vs one-task-per-cell (PR artifact).
 
-Two measurements, written to ``BENCH_perf_sweep.json``:
+Three measurements, written to ``BENCH_perf_sweep.json``:
 
 * **grid throughput** — one phase-diagram convergence grid (>= 1000 cells
   full / a small smoke grid quick) executed twice through the *same*
@@ -11,10 +11,17 @@ Two measurements, written to ``BENCH_perf_sweep.json``:
   field-for-field across the two runs (engine / wall-clock excluded), so
   the speedup cannot come from diverging semantics — this is the
   counter-based-PRNG contract, enforced inline on the full grid;
-* **Theorem-2 scaling re-fit** — batched convergence sweeps at ring sizes
-  up to n = 10^4 (far past what one-task-per-cell reaches in CI time),
+* **average-case scaling fit** — batched convergence sweeps at ring
+  sizes up to n = 10^4 (far past what one-task-per-cell reaches in CI
+  time), mean steps under the randomized ``bernoulli:0.5`` daemon
   power-law-fitted with :func:`repro.analysis.scaling.fit_power_law`; the
-  fitted exponent must stay within the paper's O(n^2) envelope.
+  fitted exponent must stay within the paper's O(n^2) envelope.  It is
+  not Theorem 2's bound, which is a worst case under the unfair daemon;
+* **kernel** — the lockstep loop alone, per daemon family at n = 256 with
+  12 seeds (n = 64 quick): microseconds per lockstep step of the
+  definition (``batched_step`` plus ``batched_legitimate`` on every
+  state) against :func:`repro.kernels.batched.batched_converge`, whose
+  ``(steps, X, H)`` must equal the definition's (asserted inline).
 
 Exit status is non-zero when the measured batched/per-cell throughput
 ratio falls below ``--min-cell-speedup``, which is how the CI smoke job
@@ -28,6 +35,8 @@ import os
 import tempfile
 import time
 from typing import Any, Dict, List
+
+import numpy as np
 
 from repro.sweeps.engine import run_sweep
 from repro.sweeps.spec import SweepSpec
@@ -113,7 +122,7 @@ def bench_grid(quick: bool) -> Dict[str, Any]:
 
 
 def bench_scaling_fit(quick: bool) -> Dict[str, Any]:
-    """Theorem-2 re-fit from batched sweeps at large n (up to 10^4 full)."""
+    """Average-case fit of mean steps at large n (up to 10^4 full)."""
     from repro.analysis.scaling import fit_power_law
     from repro.kernels.batched import run_convergence_cells
 
@@ -135,8 +144,9 @@ def bench_scaling_fit(quick: bool) -> Dict[str, Any]:
         )
     return {
         "workload": (
-            f"batched convergence at n={list(n_values)}, "
-            f"{len(seeds)} seeds each, bernoulli:0.5 daemon"
+            f"average-case fit of mean steps, batched convergence at "
+            f"n={list(n_values)}, {len(seeds)} seeds each, bernoulli:0.5 "
+            "daemon (not Theorem 2's unfair-daemon worst case)"
         ),
         "n_values": list(n_values),
         "mean_steps": [round(m, 2) for m in means],
@@ -147,16 +157,87 @@ def bench_scaling_fit(quick: bool) -> Dict[str, Any]:
     }
 
 
+def _definition_converge(X, H, K, seeds, kind, p, budget):
+    """``batched_converge``'s definition: one full step + test per state."""
+    from repro.kernels.batched import batched_legitimate, batched_step
+
+    steps = np.full(X.shape[0], -1, dtype=np.int64)
+    legit = batched_legitimate(X, H, K)
+    steps[legit] = 0
+    active = ~legit
+    for k in range(1, budget + 1):
+        if not active.any():
+            break
+        X, H = batched_step(X, H, K, seeds, kind, p, k, active)
+        legit = batched_legitimate(X, H, K)
+        steps[active & legit] = k
+        active &= ~legit
+    return steps, X, H
+
+
+def bench_kernel(quick: bool) -> Dict[str, Any]:
+    """Per-daemon lockstep cost: the definition loop vs ``batched_converge``."""
+    from repro.analysis.profiling import time_callable
+    from repro.kernels.batched import (
+        STREAM_INIT_H,
+        STREAM_INIT_X,
+        batched_converge,
+        parse_daemon,
+    )
+    from repro.kernels.prng import grid_integers
+
+    n = 64 if quick else 256
+    K, seeds = n + 1, list(range(12))
+    budget = 60 * n * n + 600
+    X = grid_integers(seeds, STREAM_INIT_X, 0, n, K)
+    H = grid_integers(seeds, STREAM_INIT_H, 0, n, 4)
+    rows = []
+    for daemon in ("synchronous", "central", "bernoulli:0.5"):
+        kind, p = parse_daemon(daemon)
+        args = (X, H, K, seeds, kind, p, budget)
+        runs: Dict[str, List[Any]] = {"definition": [], "converge": []}
+        old_s = time_callable(
+            lambda: runs["definition"].append(_definition_converge(*args)),
+            repeats=3, warmup=0).minimum
+        new_s = time_callable(
+            lambda: runs["converge"].append(batched_converge(*args)),
+            repeats=3, warmup=0).minimum
+        got, want = runs["converge"][0], runs["definition"][0]
+        if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+            raise RuntimeError(
+                f"batched_converge diverged from its definition ({daemon})")
+        lockstep = int(got[0].max())
+        rows.append({
+            "daemon": daemon,
+            "lockstep_steps": lockstep,
+            "definition_us_per_step": round(old_s / lockstep * 1e6, 1),
+            "converge_us_per_step": round(new_s / lockstep * 1e6, 1),
+            "speedup": round(old_s / new_s, 2),
+        })
+    return {
+        "workload": (
+            f"batched_converge vs the batched_step + batched_legitimate "
+            f"loop, n={n}, K={K}, seeds 0..11, best of 3; (steps, X, H) "
+            "identical"
+        ),
+        "n": n,
+        "seeds": len(seeds),
+        "daemons": rows,
+    }
+
+
 def run_sweep_bench(quick: bool = False) -> Dict[str, Any]:
-    """Run both measurements and assemble the artifact payload."""
+    """Run the three measurements and assemble the artifact payload."""
     grid = bench_grid(quick)
     scaling = bench_scaling_fit(quick)
+    kernel = bench_kernel(quick)
     return {
         "schema": 1,
         "suite": "perf_sweep",
         "mode": "quick" if quick else "full",
         "grid": grid,
         "scaling_fit": scaling,
+        "kernel": kernel,
         "equivalence": (
             "per-cell and batched modes produced field-identical records "
             "for every grid cell (enforced inline; see "
@@ -166,17 +247,26 @@ def run_sweep_bench(quick: bool = False) -> Dict[str, Any]:
 
 
 def format_report(payload: Dict[str, Any]) -> str:
-    """Two human-readable summary lines for the CLI / CI log."""
+    """Human-readable summary lines for the CLI / CI log."""
     grid = payload["grid"]
     scaling = payload["scaling_fit"]
+    kernel = [
+        f"kernel {row['daemon']:<14}: "
+        f"{row['definition_us_per_step']} -> "
+        f"{row['converge_us_per_step']} us/step ({row['speedup']}x, "
+        f"{row['lockstep_steps']} steps, n={payload['kernel']['n']}, "
+        "identical)"
+        for row in payload["kernel"]["daemons"]
+    ]
     return "\n".join([
         f"grid throughput: {grid['speedup']}x "
         f"({grid['per_cell_cells_per_second']} -> "
         f"{grid['batched_cells_per_second']} cells/s, "
         f"{grid['cells']} cells, all identical)",
-        f"scaling fit    : steps ~ {scaling['prefactor']} * "
+        f"avg-case fit   : mean steps ~ {scaling['prefactor']} * "
         f"n^{scaling['exponent']} (R^2 = {scaling['r_squared']}, "
         f"n up to {max(scaling['n_values'])}, {scaling['seconds']}s)",
+        *kernel,
     ])
 
 
@@ -198,6 +288,7 @@ __all__ = [
     "IDENTITY_FIELDS",
     "MAX_SCALING_EXPONENT",
     "bench_grid",
+    "bench_kernel",
     "bench_scaling_fit",
     "check_gates",
     "format_report",

@@ -1,4 +1,4 @@
-"""Store-derived sweep reports: per-coordinate stats + Theorem-2 scaling fit.
+"""Store-derived sweep reports: per-coordinate stats + an average-case scaling fit.
 
 Reports are computed **from the run store's manifest index**, not from the
 in-memory results of the run that just finished — the same numbers are
@@ -8,10 +8,12 @@ and the CI sweep-smoke job asserts on exactly this path.
 A report groups cells by their phase-diagram coordinate (every axis except
 ``seed``), aggregates each group's headline metric over seeds
 (count/mean/p50/p99/max), and — when the grid spans at least two ring
-sizes — re-fits the Theorem 2 scaling law ``E[steps] = a * n^alpha``
-against the per-``n`` mean convergence times, the same
+sizes — fits ``mean steps = a * n^alpha`` to the per-``n`` mean
+convergence times with the same
 :func:`repro.analysis.scaling.fit_power_law` the verification suite gates
-with ``alpha <= 2.5``.
+with ``alpha <= 2.5``.  This is an *average-case* fit under randomized
+daemons, not Theorem 2's bound, which is a worst case under the unfair
+distributed daemon.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def fit_scaling(group_rows: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     """Power-law fit of mean metric vs n, when >=2 distinct ring sizes.
 
     Pools each ring size's per-coordinate means (across daemons / loss
-    rates) so heterogeneous grids still produce one Theorem-2-style curve.
+    rates) so heterogeneous grids still produce one average-case curve.
     """
     from repro.analysis.scaling import fit_power_law
 

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from repro.kernels.prng import counter_keys, grid_integers, grid_uniforms
+from repro.kernels.prng import (
+    counter_keys,
+    grid_integers,
+    grid_uniforms,
+    grid_uniforms_block,
+    mix64,
+)
 
 
 def test_same_key_same_stream():
@@ -49,3 +55,25 @@ def test_negative_seeds_are_legal_keys():
     a = grid_uniforms([-1], stream=0, step=3, lanes=2)
     b = grid_uniforms([-1], stream=0, step=3, lanes=2)
     assert np.array_equal(a, b)
+
+
+def test_block_slices_equal_single_step_draws():
+    seeds = [-3, 0, 7, 2 ** 31 - 1]
+    for k0, steps, lanes in ((0, 1, 1), (1, 9, 1), (5, 4, 6), (40, 3, 17)):
+        block = grid_uniforms_block(seeds, 2, k0, steps, lanes)
+        assert block.shape == (steps, len(seeds), lanes)
+        for j in range(steps):
+            assert np.array_equal(
+                block[j], grid_uniforms(seeds, 2, k0 + j, lanes))
+
+
+def test_uniforms_keep_the_per_step_hash():
+    """The block path reproduces the original one-step hash composition."""
+    seeds, stream, step, lanes = [4, -9, 123], 3, 11, 5
+    key = mix64(mix64(np.array(seeds, dtype=np.int64).astype(np.uint64))
+                ^ mix64(np.array([stream], dtype=np.uint64))[0])
+    key = mix64(key ^ mix64(np.array([step], dtype=np.uint64))[0])
+    mixed = mix64(key[:, None] ^ mix64(np.arange(lanes, dtype=np.uint64)))
+    expected = (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    assert np.array_equal(grid_uniforms(seeds, stream, step, lanes),
+                          expected)
